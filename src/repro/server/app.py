@@ -478,6 +478,8 @@ class SubDExRequestHandler(BaseHTTPRequestHandler):
     """Routes requests to handler methods; owns nothing but the wire."""
 
     protocol_version = "HTTP/1.1"
+    #: small responses must not wait for the client's delayed ACK
+    disable_nagle_algorithm = True
     server: "SubDExServer"  # narrowed for type checkers
 
     # -- plumbing -----------------------------------------------------------
@@ -777,8 +779,12 @@ class SubDExRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in remaining.items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # status line, headers and body leave in one write: a body sent on
+        # its own would wait behind Nagle for the client's delayed ACK
+        # (an HTTP/0.9 request buffers no headers and gets the bare body)
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        self.wfile.write(head + b"\r\n" + body if head else body)
 
     def _json_body(self) -> dict[str, Any]:
         length_header = self.headers.get("Content-Length")
