@@ -92,7 +92,7 @@ def partial_scan(
     return PartialScan(
         shards=shards,
         group_size=int(rows.size),
-        counts=tuple(direct_counts(database, spec, rows) for spec in specs),
+        counts=direct_counts(database, specs, rows),
     )
 
 
@@ -117,9 +117,7 @@ def local_partial_scans(
         PartialScan(
             shards=(shard,),
             group_size=int(shard_rows.size),
-            counts=tuple(
-                direct_counts(database, spec, shard_rows) for spec in specs
-            ),
+            counts=direct_counts(database, specs, shard_rows),
         )
         for shard in range(n_shards)
         for shard_rows in (rows[shard_of == shard],)

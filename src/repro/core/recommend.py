@@ -54,7 +54,16 @@ from .generator import RMSetGenerator, RMSetResult
 from .pruning import PruningStrategy
 from .utility import SeenMaps
 
-__all__ = ["RecommenderConfig", "ScoredOperation", "RecommendationBuilder"]
+__all__ = [
+    "ANYTIME_CHUNK",
+    "RecommenderConfig",
+    "ScoredOperation",
+    "RecommendationBuilder",
+]
+
+#: Candidates per anytime chunk: snapshot boundaries and budget-cut points
+#: fall every this many candidates, independent of the host.
+ANYTIME_CHUNK = 2
 
 
 @dataclass(frozen=True)
@@ -433,7 +442,9 @@ class RecommendationBuilder:
     ) -> AnytimeRecommendation:
         """Cooperative-anytime Problem 2: best-so-far under a soft budget.
 
-        The candidate loop runs in phase-sized chunks; between chunks the
+        The candidate loop runs in chunks of :data:`ANYTIME_CHUNK`
+        candidates (never the host's CPU count, so cut points and partial
+        answers are the same on every machine); between chunks the
         best-so-far ranking is a well-defined snapshot (``on_snapshot``
         observes each one).  When ``budget`` — a *soft* limit, distinct
         from the ambient hard deadline — expires, the loop cuts at the
@@ -508,7 +519,7 @@ class RecommendationBuilder:
                     )
 
             workers = self._config.workers()
-            chunk = max(1, workers)
+            chunk = ANYTIME_CHUNK
             use_batch = self._use_batch(ctx)
             batch: "FamilyBatchScorer | None" = None
             lookup: "dict[int, tuple[FamilyPlan, int] | None] | None" = None

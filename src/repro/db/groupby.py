@@ -79,9 +79,14 @@ def group_histograms(
         Number of subgroups.
     scores:
         Full-length float array of scores; non-finite and out-of-scale
-        entries are ignored.
+        entries are ignored.  An *integer* array is taken as already
+        bucketed: cells ``0..scale-1`` counted as they are, with no
+        validity mask, against non-negative ``codes`` it broadcasts with
+        (the trash-bucket encoding of
+        :meth:`~repro.model.database.SubjectiveDatabase.bucket_matrix`).
     scale:
-        Rating scale ``m`` — scores are expected in ``{1, ..., m}``.
+        Rating scale ``m`` — scores are expected in ``{1, ..., m}`` — or,
+        for bucketed cells, the number of cells per subgroup.
     rows:
         Optional subset of row indices to accumulate (for phased scans).
 
@@ -92,11 +97,15 @@ def group_histograms(
     if rows is not None:
         codes = codes[rows]
         scores = scores[rows]
-    with np.errstate(invalid="ignore"):
-        valid = (codes >= 0) & np.isfinite(scores) & (scores >= 1) & (scores <= scale)
-    codes = codes[valid]
-    buckets = scores[valid].astype(np.int64) - 1
-    flat = np.bincount(codes * scale + buckets, minlength=n_groups * scale)
+    if scores.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            valid = (
+                (codes >= 0) & np.isfinite(scores) & (scores >= 1) & (scores <= scale)
+            )
+        codes = codes[valid]
+        scores = scores[valid].astype(np.int64) - 1
+    keys = codes * scale + scores
+    flat = np.bincount(keys.ravel(), minlength=n_groups * scale)
     return flat.reshape(n_groups, scale)
 
 

@@ -39,7 +39,6 @@ import numpy as np
 
 from ..concurrency import KeyedSingleFlight
 from ..core.rating_maps import RatingMapSpec
-from ..db.groupby import build_grouping
 from ..db.types import ColumnType
 from ..model.database import Side, SubjectiveDatabase
 
@@ -170,11 +169,11 @@ class StepSlices:
             cached = self._buckets.get(dimension)
         if cached is not None:
             return cached
-        scores = self._db.dimension_scores(dimension)[self._rows]
-        scale = self._scale
-        with np.errstate(invalid="ignore"):
-            valid = np.isfinite(scores) & (scores >= 1) & (scores <= scale)
-        built = np.where(valid, scores, scale + 1.0).astype(np.int64) - 1
+        # the database's bucket matrix owns the trash-bucket encoding; its
+        # cells carry a ``d·(scale+1)`` dimension offset, removed here
+        d = self._db.dimensions.index(dimension)
+        built = self._db.bucket_matrix()[self._rows, d].astype(np.int64)
+        built -= d * (self._scale + 1)
         with self._lock:
             return self._buckets.setdefault(dimension, built)
 
@@ -223,7 +222,7 @@ class StepSlices:
             cached = self._ent_codes1.get(attr_key)
         if cached is not None:
             return cached
-        grouping = build_grouping(self._db.entity_table(side), attribute)
+        grouping = self._db.entity_grouping(side, attribute)
         built = (
             grouping.codes[: self._entities(side)] + 1,
             grouping.n_groups,
@@ -373,17 +372,6 @@ class StepSlices:
         return np.bincount(codes1, minlength=n_values + 1)[1:]
 
     # -- histograms ---------------------------------------------------------
-    def group_hist(self, spec: RatingMapSpec) -> np.ndarray:
-        """The parent's own ``(n_groups, scale)`` histogram for one spec."""
-        codes1, n_groups, __ = self.codes1(spec.side, spec.attribute)
-        buckets = self.buckets(spec.dimension)
-        scale = self._scale
-        flat = np.bincount(
-            codes1 * (scale + 1) + buckets,
-            minlength=(n_groups + 1) * (scale + 1),
-        )
-        return flat.reshape(n_groups + 1, scale + 1)[1:, :scale]
-
     def pair_hist(self, a: _AttrKey, b: _AttrKey, dimension: str) -> np.ndarray:
         """Joint ``(n_a+1, n_b+1, scale+1)`` histogram, oriented a-first.
 

@@ -143,7 +143,7 @@ class NeighborhoodContext:
             on_pair_build=lambda nbytes: index._bump("cube_bytes", nbytes),
         )
         self._cubes: dict[tuple[Side, str], CandidateCube | None] = {}
-        self._parent_counts: dict[RatingMapSpec, np.ndarray] = {}
+        self._parent_counts: dict[RatingMapSpec, np.ndarray] | None = None
 
     @property
     def parent_size(self) -> int:
@@ -154,20 +154,22 @@ class NeighborhoodContext:
         return self._parent_rows
 
     def parent_counts(self, spec: RatingMapSpec) -> np.ndarray:
-        """The parent group's histogram matrix for ``spec`` (cached)."""
-        with self._lock:
-            counts = self._parent_counts.get(spec)
-            if counts is not None:
-                return counts
-        with self._flight.lock(("parent", spec)):
-            with self._lock:
-                counts = self._parent_counts.get(spec)
-                if counts is not None:
-                    return counts
-            counts = self._slices.group_hist(spec)
-            with self._lock:
-                self._parent_counts[spec] = counts
-            return counts
+        """The parent group's histogram matrix for ``spec`` (cached).
+
+        The first request counts every parent spec in one fused scan.
+        """
+        counts = self._parent_counts
+        if counts is None:
+            with self._flight.lock("parent"):
+                if self._parent_counts is None:
+                    self._parent_counts = dict(
+                        zip(
+                            self._specs,
+                            direct_counts(self._db, self._specs, self._parent_rows),
+                        )
+                    )
+                counts = self._parent_counts
+        return counts[spec]
 
     def _child_specs(self, side: Side, attribute: str) -> tuple[RatingMapSpec, ...]:
         """Specs of a FILTER child on ``attribute`` — the parent's minus it.
@@ -289,8 +291,8 @@ class _RowsCandidate:
         self._db = ctx._db
         self.criteria = target
         self._rows = ctx._index.rows_for(target)
-        self._diff: tuple[np.ndarray, np.ndarray] | None = None
         self._specs: tuple[RatingMapSpec, ...] | None = None
+        self._counts: dict[RatingMapSpec, np.ndarray] | None = None
 
     @property
     def size(self) -> int:
@@ -310,24 +312,49 @@ class _RowsCandidate:
         return self._specs
 
     def counts_of(self, spec: RatingMapSpec) -> np.ndarray:
+        if self._counts is None:
+            self._counts = self._all_counts()
+        return self._counts[spec]
+
+    def _all_counts(self) -> dict[RatingMapSpec, np.ndarray]:
+        """Every spec's matrix: one fused call per row set.
+
+        Specs the parent also maps are delta-maintained from its cached
+        counts when the difference rows are fewer than the child's; the
+        rest (and all of them otherwise) are scanned directly.
+        """
+        ctx = self._ctx
+        specs = self.specs
+        delta_specs: tuple[RatingMapSpec, ...] = ()
         # |removed| ≥ parent − child, so when parent − child ≥ child the
         # delta can never touch fewer rows than a direct scan — skip even
         # computing the set differences
-        delta_possible = (
-            spec in self._ctx._spec_set
-            and self._ctx.parent_size - self._rows.size < self._rows.size
-        )
-        if delta_possible:
-            if self._diff is None:
-                self._diff = split_rows(self._ctx.parent_rows, self._rows)
-            removed, added = self._diff
+        if ctx.parent_size - self._rows.size < self._rows.size:
+            removed, added = split_rows(ctx.parent_rows, self._rows)
             if prefer_delta(removed, added, self._rows.size):
-                self._ctx._index._bump("candidates_delta")
-                return delta_counts(
-                    self._db, spec, self._ctx.parent_counts(spec), removed, added
+                delta_specs = tuple(s for s in specs if s in ctx._spec_set)
+        counts: dict[RatingMapSpec, np.ndarray] = {}
+        if delta_specs:
+            ctx._index._bump("candidates_delta", len(delta_specs))
+            counts.update(
+                zip(
+                    delta_specs,
+                    delta_counts(
+                        self._db,
+                        delta_specs,
+                        [ctx.parent_counts(s) for s in delta_specs],
+                        removed,
+                        added,
+                    ),
                 )
-        self._ctx._index._bump("candidates_direct")
-        return direct_counts(self._db, spec, self._rows)
+            )
+        direct_specs = [s for s in specs if s not in counts]
+        if direct_specs:
+            ctx._index._bump("candidates_direct", len(direct_specs))
+            counts.update(
+                zip(direct_specs, direct_counts(self._db, direct_specs, self._rows))
+            )
+        return counts
 
     def labels_of(self, spec: RatingMapSpec) -> tuple[Any, ...]:
         return self._db.aligned_grouping(spec.side, spec.attribute).labels

@@ -10,6 +10,7 @@ makes the phased generator fast).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -150,7 +151,10 @@ class SubjectiveDatabase:
             Side.ITEM: Catalog(items),
         }
         self._grouping_cache: dict[tuple[Side, str], Grouping] = {}
+        self._entity_grouping_cache: dict[tuple[Side, str], Grouping] = {}
         self._score_cache: dict[str, np.ndarray] = {}
+        self._buckets: np.ndarray | None = None
+        self._buckets_lock = threading.Lock()
 
     # -- basic accessors ----------------------------------------------------
     @property
@@ -224,6 +228,57 @@ class SubjectiveDatabase:
             grouping = Grouping(attribute, codes, entity_grouping.labels)
             self._grouping_cache[cache_key] = grouping
         return grouping
+
+    def entity_grouping(self, side: Side, attribute: str) -> Grouping:
+        """Grouping of the entity table itself by ``attribute`` (cached).
+
+        The dictionary encoding :meth:`aligned_grouping` gathers through
+        the alignment, so code ``c`` names the same label in both.  Only
+        the entity-aggregated histogram paths ask for it, so it is cached
+        apart from :meth:`aligned_grouping` (which would otherwise keep an
+        entity-sized copy of every attribute's codes).
+        """
+        cache_key = (side, attribute)
+        grouping = self._entity_grouping_cache.get(cache_key)
+        if grouping is None:
+            grouping = build_grouping(self.entity_table(side), attribute)
+            self._entity_grouping_cache[cache_key] = grouping
+        return grouping
+
+    def bucket_matrix(self) -> np.ndarray:
+        """Pre-bucketed scores: ``(n_ratings, n_dimensions)`` cell codes.
+
+        Cell ``[r, d]`` holds ``d·(scale+1) + bucket`` where ``bucket`` is
+        ``score - 1`` for a valid score (finite, within ``1..scale``) and
+        the trash bucket ``scale`` otherwise, so a histogram pass needs no
+        validity mask and one bincount keyed by ``code·D·(scale+1) + cell``
+        covers every dimension.  Built once, on first use, by one thread;
+        a cell takes one byte unless ``D·(scale+1)`` exceeds 256.
+        """
+        buckets = self._buckets
+        if buckets is not None:
+            return buckets
+        with self._buckets_lock:
+            if self._buckets is None:
+                width = len(self._dimensions) * (self._scale + 1)
+                built = np.empty(
+                    (self.n_ratings, len(self._dimensions)),
+                    dtype=np.min_scalar_type(width - 1),
+                )
+                for d, dimension in enumerate(self._dimensions):
+                    scores = self.dimension_scores(dimension)
+                    with np.errstate(invalid="ignore"):
+                        valid = (
+                            np.isfinite(scores)
+                            & (scores >= 1)
+                            & (scores <= self._scale)
+                        )
+                    bucket = np.where(valid, scores, self._scale + 1.0)
+                    built[:, d] = bucket.astype(np.int64) + (
+                        d * (self._scale + 1) - 1
+                    )
+                self._buckets = built
+            return self._buckets
 
     def dimension_scores(self, dimension: str) -> np.ndarray:
         """Float scores of ``dimension`` for all rating records (cached)."""

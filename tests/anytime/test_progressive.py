@@ -7,13 +7,15 @@ the truth — across databases with missing values and empty groups.
 
 from __future__ import annotations
 
+import os
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro import SubDEx, SubDExConfig
 from repro.anytime import QualityLadder, QualityRung, budget_deadline
-from repro.core.recommend import RecommenderConfig
+from repro.core.recommend import ANYTIME_CHUNK, RecommenderConfig
 
 EVERYTHING = 10**6  # an o larger than any candidate universe here
 
@@ -70,18 +72,40 @@ def test_unbudgeted_run_matches_stored_step_recommendations(tiny_engine):
 
 # -- budget cuts --------------------------------------------------------------
 
-def test_forced_cut_yields_honest_partial(tiny_engine):
-    session = tiny_engine.session()
+def _prefix_oracle(db, session, scanned):
+    """The naive engine's top-o over the first ``scanned`` candidates."""
+    visited = {step.criteria for step in session.steps} | {session.criteria}
+    operations = session.recommender.candidate_operations(session.criteria)
+    operations = [op for op in operations if op.target not in visited] or operations
+    naive = SubDEx(
+        db, replace(_engine(db).config, use_index=False)
+    ).session().recommender
+    return naive.recommend(
+        session.criteria,
+        session.seen,
+        candidates=operations[:scanned],
+        current_group=session.group,
+    )
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_forced_cut_yields_honest_partial(tiny_db, monkeypatch, cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    session = _engine(tiny_db).session()
     session.step()
     full = session.recommendations_anytime()
     cut = session.recommendations_anytime(force_cut_after=1)
     assert cut.is_partial
     assert cut.completeness.budget_cut
     assert cut.completeness.snapshots == 1
-    assert 0 < cut.completeness.candidates_scanned
+    # one chunk, whatever the host: the cut point is host-independent
+    assert cut.completeness.candidates_scanned == ANYTIME_CHUNK
     assert cut.completeness.candidates_scanned < cut.completeness.candidates_total
     assert cut.completeness.candidates_total == full.completeness.candidates_total
-    assert _targets(cut.recommendations) <= _targets(full.recommendations)
+    # a prefix's top-o need not lie inside the full top-o, but it must be
+    # exactly what a from-scratch ranking of that prefix returns
+    oracle = _prefix_oracle(tiny_db, session, cut.completeness.candidates_scanned)
+    assert _keys(cut.recommendations) == _keys(oracle)
     _check_invariants(cut.completeness)
 
 

@@ -77,8 +77,8 @@ def test_merged_counts_equal_full_scan(sparse_db, criteria, n_shards):
     rows = RatingGroup(db, criteria).rows
     group_size, totals = merge_scans(partials, len(specs))
     assert group_size == int(rows.size)
-    for spec, total in zip(specs, totals):
-        np.testing.assert_array_equal(total, direct_counts(db, spec, rows))
+    for spec, total, full in zip(specs, totals, direct_counts(db, specs, rows)):
+        np.testing.assert_array_equal(total, full)
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 3, 7])

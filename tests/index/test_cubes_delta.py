@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.rating_maps import enumerate_map_specs
+from repro.db.groupby import group_histograms
 from repro.db.types import ColumnType
 from repro.index.cubes import StepSlices, axis_for
 from repro.index.delta import (
@@ -18,6 +19,18 @@ from repro.model.database import Side
 from repro.model.groups import AVPair, RatingGroup, SelectionCriteria
 
 
+def _scan(db, spec, rows):
+    """Per-spec reference histogram: one masked bincount of ``rows``."""
+    grouping = db.aligned_grouping(spec.side, spec.attribute)
+    return group_histograms(
+        grouping.codes,
+        grouping.n_groups,
+        db.dimension_scores(spec.dimension),
+        db.scale,
+        rows=rows,
+    )
+
+
 def _parent_rows(db, seed=0):
     rng = np.random.default_rng(seed)
     mask = rng.random(db.n_ratings) < 0.7
@@ -25,14 +38,12 @@ def _parent_rows(db, seed=0):
 
 
 @pytest.mark.parametrize("fixture", ["clean_db", "sparse_db"])
-def test_group_hist_equals_direct_scan(fixture, request):
+def test_fused_counts_equal_per_spec_scans(fixture, request):
     db = request.getfixturevalue(fixture)
     rows = _parent_rows(db)
-    slices = StepSlices(db, rows)
-    for spec in enumerate_map_specs(db, SelectionCriteria.root()):
-        np.testing.assert_array_equal(
-            slices.group_hist(spec), direct_counts(db, spec, rows)
-        )
+    specs = tuple(enumerate_map_specs(db, SelectionCriteria.root()))
+    for spec, fused in zip(specs, direct_counts(db, specs, rows)):
+        np.testing.assert_array_equal(fused, _scan(db, spec, rows))
 
 
 @pytest.mark.parametrize("fixture", ["clean_db", "sparse_db"])
@@ -58,10 +69,9 @@ def test_cube_slices_equal_per_value_scans(fixture, side, attribute, request):
         child_rows = rows[grouping.codes[rows] == code]
         assert sizes[code] == child_rows.size
         assert axis.code_of(label) == code
-        for spec in specs:
+        for spec, fused in zip(specs, direct_counts(db, specs, child_rows)):
             np.testing.assert_array_equal(
-                slices.cube_slice((side, attribute), spec)[code],
-                direct_counts(db, spec, child_rows),
+                slices.cube_slice((side, attribute), spec)[code], fused
             )
 
 
@@ -83,9 +93,10 @@ def test_pair_hist_shared_across_orientations(clean_db):
 
 
 def test_empty_parent_rows_yield_zero_histograms(clean_db):
-    slices = StepSlices(clean_db, np.empty(0, dtype=np.int64))
-    spec = next(iter(enumerate_map_specs(clean_db, SelectionCriteria.root())))
-    assert slices.group_hist(spec).sum() == 0
+    empty = np.empty(0, dtype=np.int64)
+    slices = StepSlices(clean_db, empty)
+    specs = tuple(enumerate_map_specs(clean_db, SelectionCriteria.root()))
+    assert all(counts.sum() == 0 for counts in direct_counts(clean_db, specs, empty))
     assert slices.sizes(Side.REVIEWER, "gender").sum() == 0
 
 
@@ -103,9 +114,9 @@ def test_delta_counts_equal_direct(clean_db):
     )
     removed, added = split_rows(parent.rows, child.rows)
     assert prefer_delta(removed, added, child.rows.size) in (True, False)
-    for spec in enumerate_map_specs(db, SelectionCriteria.root()):
-        parent_counts = direct_counts(db, spec, parent.rows)
-        np.testing.assert_array_equal(
-            delta_counts(db, spec, parent_counts, removed, added),
-            direct_counts(db, spec, child.rows),
-        )
+    specs = tuple(enumerate_map_specs(db, SelectionCriteria.root()))
+    parent_counts = [_scan(db, spec, parent.rows) for spec in specs]
+    for spec, delta in zip(
+        specs, delta_counts(db, specs, parent_counts, removed, added)
+    ):
+        np.testing.assert_array_equal(delta, _scan(db, spec, child.rows))
